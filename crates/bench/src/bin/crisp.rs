@@ -41,7 +41,8 @@ use crisp_core::{
     SimConfig, SimError, SliceMode, Table,
 };
 use crisp_emu::Emulator;
-use crisp_obs::{parse_jsonl, render_kanata, summarize, TraceFilter};
+use crisp_harness::parse_jsonl;
+use crisp_obs::{render_kanata, summarize, TraceFilter};
 use crisp_profile::{classify_branches, classify_loads, ProfileSummary};
 use crisp_sim::Simulator;
 use std::process::ExitCode;

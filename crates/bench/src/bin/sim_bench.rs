@@ -28,15 +28,19 @@
 //! exit codes: 0 ok, 1 benchmark invariant broken, 2 usage error
 //! ```
 //!
-//! Invariants gated on: every trial retires the same instruction count
-//! (determinism), and the self-profile attributes >= 95% of engine host
-//! time to named phases (the `other` bucket stays honest).
+//! Invariants gated on: every trial reproduces trial 0's simulated
+//! output — an FNV-1a digest of `SimResult::snapshot_words()`: every
+//! counter, per-PC map and timeline (determinism) — and the self-profile
+//! attributes >= 95% of engine host time to named phases (the `other`
+//! bucket stays honest).
 
 use crisp_core::{build, Input, SimConfig};
 use crisp_emu::Emulator;
 use crisp_harness::json::Value;
+use crisp_isa::{Program, Trace};
 use crisp_obs::HostProfReport;
-use crisp_sim::Simulator;
+use crisp_sim::{SimResult, Simulator};
+use crisp_store::fnv1a128;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -66,6 +70,53 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// FNV-1a (128-bit) over `res.snapshot_words()`, little-endian bytes.
+fn digest(res: &SimResult) -> u128 {
+    let bytes: Vec<u8> = res
+        .snapshot_words()
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    fnv1a128(&bytes)
+}
+
+/// The determinism gate: trial `t` of `label` must simulate exactly what
+/// trial 0 did (digest `first`).
+fn check_trial(label: &str, t: usize, first: u128, res: &SimResult) -> Result<(), String> {
+    let d = digest(res);
+    if d == first {
+        return Ok(());
+    }
+    Err(format!(
+        "{label}: trial {t} result digest {d:032x} differs from trial 0's {first:032x} \
+         ({} instrs / {} cycles) — the engine is nondeterministic",
+        res.retired, res.cycles
+    ))
+}
+
+/// `warmup` untimed runs, then `trials` timed ones gated on
+/// [`check_trial`]; returns trial 0's result and every trial's KIPS.
+fn timed_trials(
+    label: &str,
+    warmup: usize,
+    trials: usize,
+    run: impl Fn() -> Result<(f64, SimResult), String>,
+) -> Result<(SimResult, Vec<f64>), String> {
+    for _ in 0..warmup {
+        run()?;
+    }
+    let kips = |secs: f64, res: &SimResult| res.retired as f64 / 1e3 / secs.max(1e-9);
+    let (secs, first) = run()?;
+    let digest0 = digest(&first);
+    let mut all = vec![kips(secs, &first)];
+    for t in 1..trials {
+        let (secs, res) = run()?;
+        check_trial(label, t, digest0, &res)?;
+        all.push(kips(secs, &res));
+    }
+    Ok((first, all))
+}
+
 struct WorkloadResult {
     name: &'static str,
     retired: u64,
@@ -74,53 +125,47 @@ struct WorkloadResult {
     prof: HostProfReport,
 }
 
-/// Benchmarks one workload: warmup + trials with observability off,
-/// then one profiled run for phase attribution.
-fn bench_workload(
+/// One workload's program and the trace every run of it replays.
+struct Prepared {
     name: &'static str,
-    instrs: usize,
-    warmup: usize,
-    trials: usize,
-) -> Result<WorkloadResult, String> {
-    let w = build(name, Input::Train).map_err(|e| format!("{name}: build failed: {e}"))?;
-    let trace = Emulator::new(&w.program, w.memory.clone()).run(instrs as u64);
-    let cfg = SimConfig::skylake();
-    let run = |cfg: &SimConfig| {
-        let sim = Simulator::try_new(cfg.clone()).map_err(|e| format!("{name}: config: {e}"))?;
+    program: Program,
+    trace: Trace,
+}
+
+impl Prepared {
+    /// Builds `name`'s train input and emulates `instrs` instructions.
+    fn new(name: &'static str, instrs: usize) -> Result<Prepared, String> {
+        let w = build(name, Input::Train).map_err(|e| format!("{name}: build failed: {e}"))?;
+        let trace = Emulator::new(&w.program, w.memory).run(instrs as u64);
+        Ok(Prepared {
+            name,
+            program: w.program,
+            trace,
+        })
+    }
+
+    /// One timed simulation of the trace under `cfg`.
+    fn simulate(&self, label: &str, cfg: &SimConfig) -> Result<(f64, SimResult), String> {
+        let sim = Simulator::try_new(cfg.clone()).map_err(|e| format!("{label}: config: {e}"))?;
         let started = Instant::now();
         let res = sim
-            .try_run(&w.program, &trace, None)
-            .map_err(|e| format!("{name}: simulation failed: {e}"))?;
-        Ok::<_, String>((started.elapsed().as_secs_f64(), res))
-    };
-
-    for _ in 0..warmup {
-        run(&cfg)?;
+            .try_run(&self.program, &self.trace, None)
+            .map_err(|e| format!("{label}: simulation failed: {e}"))?;
+        Ok((started.elapsed().as_secs_f64(), res))
     }
-    let mut kips = Vec::with_capacity(trials);
-    let mut retired = 0u64;
-    let mut cycles = 0u64;
-    for t in 0..trials {
-        let (secs, res) = run(&cfg)?;
-        if t == 0 {
-            (retired, cycles) = (res.retired, res.cycles);
-        } else if res.retired != retired {
-            return Err(format!(
-                "{name}: trial {t} retired {} instrs, trial 0 retired {retired} — \
-                 the engine is nondeterministic",
-                res.retired
-            ));
-        }
-        kips.push(res.retired as f64 / 1e3 / secs.max(1e-9));
-    }
+}
 
-    let mut prof_cfg = cfg;
-    prof_cfg.hostprof = true;
-    let (_, res) = run(&prof_cfg)?;
+/// Benchmarks one workload: warmup + trials with observability off,
+/// then one profiled run for phase attribution.
+fn bench_workload(p: &Prepared, warmup: usize, trials: usize) -> Result<WorkloadResult, String> {
+    let mut cfg = SimConfig::skylake();
+    let (first, kips) = timed_trials(p.name, warmup, trials, || p.simulate(p.name, &cfg))?;
+    cfg.hostprof = true;
+    let (_, res) = p.simulate(p.name, &cfg)?;
     Ok(WorkloadResult {
-        name,
-        retired,
-        cycles,
+        name: p.name,
+        retired: first.retired,
+        cycles: first.cycles,
         kips,
         prof: res.hostprof,
     })
@@ -139,59 +184,26 @@ struct ZooResult {
 
 /// Re-simulates one workload's trace under each zoo mechanism,
 /// timing KIPS and capturing the effectiveness counters.
-fn bench_zoo(
-    name: &'static str,
-    instrs: usize,
-    warmup: usize,
-    trials: usize,
-) -> Result<Vec<ZooResult>, String> {
-    let w = build(name, Input::Train).map_err(|e| format!("{name}: build failed: {e}"))?;
-    let trace = Emulator::new(&w.program, w.memory.clone()).run(instrs as u64);
+fn bench_zoo(p: &Prepared, warmup: usize, trials: usize) -> Result<Vec<ZooResult>, String> {
     let mut out = Vec::with_capacity(ZOO.len());
     for (mech, spec) in ZOO {
+        let label = format!("{}/{mech}", p.name);
         let mut cfg = SimConfig::skylake();
         cfg.memory.prefetcher = spec
             .parse()
-            .map_err(|e| format!("{name}/{mech}: bad zoo spec `{spec}`: {e}"))?;
-        let run = || {
-            let sim = Simulator::try_new(cfg.clone()).map_err(|e| format!("{name}/{mech}: {e}"))?;
-            let started = Instant::now();
-            let res = sim
-                .try_run(&w.program, &trace, None)
-                .map_err(|e| format!("{name}/{mech}: simulation failed: {e}"))?;
-            Ok::<_, String>((started.elapsed().as_secs_f64(), res))
-        };
-        for _ in 0..warmup {
-            run()?;
-        }
-        let mut kips = Vec::with_capacity(trials);
-        let mut zr = ZooResult {
+            .map_err(|e| format!("{label}: bad zoo spec `{spec}`: {e}"))?;
+        let (first, kips) = timed_trials(&label, warmup, trials, || p.simulate(&label, &cfg))?;
+        let pf = first.mem.prefetch_totals();
+        out.push(ZooResult {
             mech,
             spec,
-            retired: 0,
-            cycles: 0,
-            kips: Vec::new(),
-            issued: 0,
-            useful: 0,
-            late: 0,
-        };
-        for t in 0..trials {
-            let (secs, res) = run()?;
-            if t == 0 {
-                let pf = res.mem.prefetch_totals();
-                (zr.retired, zr.cycles) = (res.retired, res.cycles);
-                (zr.issued, zr.useful, zr.late) = (pf.issued, pf.useful, pf.late);
-            } else if res.retired != zr.retired || res.cycles != zr.cycles {
-                return Err(format!(
-                    "{name}/{mech}: trial {t} diverged ({} instrs / {} cycles vs {} / {}) — \
-                     the engine is nondeterministic",
-                    res.retired, res.cycles, zr.retired, zr.cycles
-                ));
-            }
-            kips.push(res.retired as f64 / 1e3 / secs.max(1e-9));
-        }
-        zr.kips = kips;
-        out.push(zr);
+            retired: first.retired,
+            cycles: first.cycles,
+            kips,
+            issued: pf.issued,
+            useful: pf.useful,
+            late: pf.late,
+        });
     }
     Ok(out)
 }
@@ -290,10 +302,12 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut prepared = Vec::new();
     let mut results = Vec::new();
     for name in WORKLOADS {
-        match bench_workload(name, instrs, warmup, trials) {
-            Ok(r) => {
+        match Prepared::new(name, instrs).and_then(|p| Ok((bench_workload(&p, warmup, trials)?, p)))
+        {
+            Ok((r, p)) => {
                 let mut sorted = r.kips.clone();
                 sorted.sort_by(f64::total_cmp);
                 eprintln!(
@@ -305,6 +319,7 @@ fn main() -> ExitCode {
                     median(&sorted),
                 );
                 results.push(r);
+                prepared.push(p);
             }
             Err(e) => {
                 eprintln!("sim-bench: {e}");
@@ -364,8 +379,9 @@ fn main() -> ExitCode {
     // The prefetcher dimension: per-mechanism KIPS + effectiveness on
     // the same workload set, gated on the conservation invariant.
     let mut zoo_json = Vec::new();
-    for name in WORKLOADS {
-        let rows = match bench_zoo(name, instrs, warmup, trials) {
+    for p in &prepared {
+        let name = p.name;
+        let rows = match bench_zoo(p, warmup, trials) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("sim-bench: {e}");
@@ -426,4 +442,28 @@ fn main() -> ExitCode {
     }
     eprintln!("[sim-bench] prefetcher dimension -> {}", zoo_out.display());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_determinism_gate_trips_on_any_differing_result() {
+        let a = SimResult {
+            cycles: 1000,
+            retired: 800,
+            ..SimResult::default()
+        };
+        assert_eq!(check_trial("w", 1, digest(&a), &a), Ok(()));
+        // Same instruction count and cycles, one counter apart: the old
+        // `retired` comparison passed this.
+        let mut b = a.clone();
+        b.cond_mispredicts += 1;
+        let err = check_trial("w", 1, digest(&a), &b).unwrap_err();
+        assert!(err.contains("nondeterministic"), "{err}");
+        let mut c = a.clone();
+        c.cycles += 1;
+        assert!(check_trial("w", 2, digest(&a), &c).is_err());
+    }
 }

@@ -14,10 +14,10 @@ use crisp_core::{
     IbdaConfig, Input, PipelineConfig, SimConfig, SliceConfig, SliceMode,
 };
 use crisp_emu::Emulator;
-use crisp_harness::json::Value;
+use crisp_harness::encode_sample;
 use crisp_harness::{checkpoint_file_name, newest_valid_checkpoint, write_checkpoint};
 use crisp_harness::{JobSpec, RunContext};
-use crisp_obs::{render_kanata, TelemetrySample, TraceFilter, FIELD_NAMES};
+use crisp_obs::{render_kanata, TraceFilter};
 use crisp_sim::{CheckpointSink, PrefetcherSpec, SimResult, Simulator};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -181,19 +181,6 @@ fn arm_obs(sim: &mut SimConfig, obs: Option<&ObsPolicy>) {
     }
 }
 
-/// One telemetry sample as a JSONL line, tagged with the cell id and
-/// sub-run label so merged streams stay attributable.
-fn telemetry_line(cell: &str, label: &str, s: &TelemetrySample) -> String {
-    let mut pairs = vec![
-        ("cell".to_string(), Value::Str(cell.to_string())),
-        ("label".to_string(), Value::Str(label.to_string())),
-    ];
-    for (name, v) in FIELD_NAMES.iter().zip(s.values()) {
-        pairs.push(((*name).to_string(), Value::Num(v as f64)));
-    }
-    Value::Obj(pairs).encode()
-}
-
 /// Writes one sub-run's observability artifacts. Best-effort, like
 /// checkpoint emission: a full disk must not kill a healthy simulation,
 /// so I/O failures are swallowed.
@@ -204,7 +191,7 @@ fn write_obs(obs: Option<&ObsPolicy>, job: &JobSpec, label: &str, res: &SimResul
         let _ = std::fs::create_dir_all(dir);
         let mut text = String::new();
         for s in res.telemetry.samples() {
-            text.push_str(&telemetry_line(&job.id, label, s));
+            text.push_str(&encode_sample(&job.id, label, s));
             text.push('\n');
         }
         let _ = std::fs::write(dir.join(format!("{stem}.jsonl")), text);
@@ -754,7 +741,7 @@ mod tests {
             let jsonl =
                 std::fs::read_to_string(dir.join("telemetry").join(format!("{stem}.jsonl")))
                     .expect("telemetry stream exists");
-            let samples = crisp_obs::parse_jsonl(&jsonl).expect("stream parses");
+            let samples = crisp_harness::parse_jsonl(&jsonl).expect("stream parses");
             assert!(!samples.is_empty(), "{label} sampled at least once");
             assert!(samples[0].interval_cycles >= 512);
             assert!(jsonl.contains("\"cell\":\"fig1/pointer_chase\""));

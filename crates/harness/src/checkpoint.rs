@@ -8,7 +8,7 @@
 //! magic "CRSPCKPT"           8 bytes
 //! format version             u64 LE
 //! spec fingerprint (low)     u64 LE   FNV-1a 128 of the cell's spec string
-//! spec fingerprint (high)    u64 LE   (v1 files carry a single 64-bit word)
+//! spec fingerprint (high)    u64 LE
 //! snapshot cycle             u64 LE
 //! section count              u64 LE
 //! per section:
@@ -20,31 +20,22 @@
 //! end marker "CRSPDONE"      8 bytes
 //! ```
 //!
-//! Writes are atomic: the file is assembled under a `.tmp` name, fsync'd,
-//! then renamed over the final path, so a SIGKILL mid-write leaves either
-//! the previous checkpoint or a `.tmp` orphan — never a half-written file
-//! under the real name. Reads verify, in order: magic, version, spec
-//! fingerprint, per-section CRC, and the end marker; a file cut short at
-//! any byte is reported as [`CheckpointError::Torn`], never mis-decoded.
+//! Writes are atomic ([`crisp_store::write_atomic`]): a SIGKILL mid-write
+//! leaves either the previous checkpoint or a temp orphan — never a
+//! half-written file under the real name. Reads verify, in order: magic,
+//! version, spec fingerprint, per-section CRC, and the end marker; a file
+//! cut short at any byte is reported as [`CheckpointError::Torn`], never
+//! mis-decoded.
 
-use crate::journal::fnv1a64;
 use crisp_sim::SimSnapshot;
-use crisp_store::fnv1a128;
-use std::fs::{self, File};
-use std::io::Write;
+use crisp_store::{crc32, fnv1a128, write_atomic, ByteReader};
+use std::fs;
 use std::path::{Path, PathBuf};
-
-pub use crisp_store::crc32;
 
 /// Checkpoint container format version, bumped on incompatible changes.
 ///
-/// Version history:
-///
-/// - v1 — a single 64-bit FNV-1a spec fingerprint;
-/// - v2 — a 128-bit fingerprint stored as two u64 words (low, high).
-///
-/// v1 files remain readable: the reader verifies them against the 64-bit
-/// fingerprint of the same spec string.
+/// Version 2 stores a 128-bit spec fingerprint as two u64 words (low,
+/// high); version 1 files, with a single 64-bit word, are refused.
 pub const CHECKPOINT_VERSION: u64 = 2;
 
 const MAGIC: &[u8; 8] = b"CRSPCKPT";
@@ -87,11 +78,9 @@ pub enum CheckpointError {
     FingerprintMismatch {
         /// The checkpoint path.
         path: PathBuf,
-        /// Fingerprint found in the file (v1 fingerprints occupy the low
-        /// 64 bits).
+        /// Fingerprint found in the file.
         found: u128,
-        /// Fingerprint of the spec attempting the restore, at the width
-        /// the file's format version uses.
+        /// Fingerprint of the spec attempting the restore.
         expected: u128,
     },
     /// A section's payload failed its CRC — bit rot or partial overwrite.
@@ -158,8 +147,7 @@ fn encode(spec_fingerprint: u128, snapshot: &SimSnapshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(spec_fingerprint as u64).to_le_bytes());
-    out.extend_from_slice(&((spec_fingerprint >> 64) as u64).to_le_bytes());
+    out.extend_from_slice(&spec_fingerprint.to_le_bytes());
     out.extend_from_slice(&snapshot.cycle.to_le_bytes());
     out.extend_from_slice(&(snapshot.sections.len() as u64).to_le_bytes());
     for (name, words) in &snapshot.sections {
@@ -180,8 +168,8 @@ fn encode(spec_fingerprint: u128, snapshot: &SimSnapshot) -> Vec<u8> {
     out
 }
 
-/// Writes `snapshot` to `path` atomically (tmp + fsync + rename), stamped
-/// with the FNV-1a fingerprint of `spec`.
+/// Writes `snapshot` to `path` atomically, stamped with the FNV-1a
+/// fingerprint of `spec`.
 ///
 /// # Errors
 ///
@@ -191,55 +179,8 @@ pub fn write_checkpoint(
     spec: &str,
     snapshot: &SimSnapshot,
 ) -> Result<(), CheckpointError> {
-    let bytes = encode(fnv1a128(spec.as_bytes()), snapshot);
-    let tmp = tmp_path(path);
-    let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-    file.write_all(&bytes)
-        .map_err(|e| io_err(&tmp, "write", e))?;
-    file.sync_data().map_err(|e| io_err(&tmp, "fsync", e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
-    // Make the rename itself durable where the platform allows it.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    path: &'a Path,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(CheckpointError::Torn {
-                path: self.path.to_path_buf(),
-                detail: format!(
-                    "file ends at byte {} while reading {what}",
-                    self.bytes.len()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        let s = self.take(8, what)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
+    write_atomic(path, &encode(fnv1a128(spec.as_bytes()), snapshot))
+        .map_err(|e| io_err(&e.path, e.step, e.error))
 }
 
 /// Reads and fully verifies the checkpoint at `path`, requiring it to
@@ -254,11 +195,10 @@ impl<'a> ByteReader<'a> {
 /// [`CheckpointError::SectionCrc`] for payload corruption.
 pub fn read_checkpoint(path: &Path, spec: &str) -> Result<SimSnapshot, CheckpointError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, "read", e))?;
-    let mut r = ByteReader {
-        bytes: &bytes,
-        pos: 0,
-        path,
-    };
+    let mut r = ByteReader::new(&bytes, |detail| CheckpointError::Torn {
+        path: path.to_path_buf(),
+        detail,
+    });
     let magic = r.take(8, "magic")?;
     if magic != MAGIC {
         return Err(CheckpointError::BadMagic {
@@ -266,27 +206,15 @@ pub fn read_checkpoint(path: &Path, spec: &str) -> Result<SimSnapshot, Checkpoin
         });
     }
     let version = r.u64("version")?;
-    // v1 carried one 64-bit fingerprint word; v2 carries two. Verify at
-    // the width the file was written with, so v1 checkpoints stay
-    // restorable across the fingerprint upgrade.
-    let (fingerprint, expected) = match version {
-        1 => (u128::from(r.u64("fingerprint")?), u128::from(fnv1a64(spec))),
-        2 => {
-            let lo = r.u64("fingerprint (low)")?;
-            let hi = r.u64("fingerprint (high)")?;
-            (
-                (u128::from(hi) << 64) | u128::from(lo),
-                fnv1a128(spec.as_bytes()),
-            )
-        }
-        found => {
-            return Err(CheckpointError::VersionMismatch {
-                path: path.to_path_buf(),
-                found,
-                expected: CHECKPOINT_VERSION,
-            })
-        }
-    };
+    if version != CHECKPOINT_VERSION {
+        return Err(CheckpointError::VersionMismatch {
+            path: path.to_path_buf(),
+            found: version,
+            expected: CHECKPOINT_VERSION,
+        });
+    }
+    let fingerprint = r.u128("spec fingerprint")?;
+    let expected = fnv1a128(spec.as_bytes());
     if fingerprint != expected {
         return Err(CheckpointError::FingerprintMismatch {
             path: path.to_path_buf(),
@@ -300,23 +228,13 @@ pub fn read_checkpoint(path: &Path, spec: &str) -> Result<SimSnapshot, Checkpoin
     for i in 0..n_sections {
         let name_len = r.u64("section name length")? as usize;
         let name_bytes = r.take(name_len, "section name")?;
-        let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| CheckpointError::Torn {
-            path: path.to_path_buf(),
-            detail: format!("section {i} name is not UTF-8"),
-        })?;
+        let name = String::from_utf8(name_bytes.to_vec())
+            .map_err(|_| r.torn(format!("section {i} name is not UTF-8")))?;
         let pad = (8 - name_len % 8) % 8;
         r.take(pad, "section name padding")?;
-        let n_words = r.u64("section word count")? as usize;
+        let n_words = r.u64("section word count")?;
         let stored_crc = r.u64("section crc")?;
-        let payload = r.take(
-            n_words
-                .checked_mul(8)
-                .ok_or_else(|| CheckpointError::Torn {
-                    path: path.to_path_buf(),
-                    detail: format!("section '{name}' declares an absurd length"),
-                })?,
-            "section payload",
-        )?;
+        let payload = r.words(n_words, &format!("section '{name}' payload"))?;
         if u64::from(crc32(payload)) != stored_crc {
             return Err(CheckpointError::SectionCrc {
                 path: path.to_path_buf(),
@@ -331,10 +249,7 @@ pub fn read_checkpoint(path: &Path, spec: &str) -> Result<SimSnapshot, Checkpoin
     }
     let end = r.take(8, "end marker")?;
     if end != END_MARKER {
-        return Err(CheckpointError::Torn {
-            path: path.to_path_buf(),
-            detail: "end marker missing or corrupt".to_string(),
-        });
+        return Err(r.torn("end marker missing or corrupt"));
     }
     Ok(SimSnapshot { cycle, sections })
 }
@@ -350,7 +265,7 @@ pub fn checkpoint_file_name(job_id: &str, cycle: u64) -> String {
 
 /// Scans `dir` for checkpoints of `job_id` and returns the valid one with
 /// the highest cycle, silently skipping torn, corrupt, mismatched or
-/// orphaned `.tmp` files — exactly the debris a crash leaves behind.
+/// orphaned temp files — exactly the debris a crash leaves behind.
 ///
 /// # Errors
 ///
@@ -410,10 +325,42 @@ mod tests {
         dir
     }
 
+    /// The golden snapshot's container bytes, one 8-byte field per line.
+    /// Any change here is a format change: bump `CHECKPOINT_VERSION`.
+    const GOLDEN_CHECKPOINT: &str = concat!(
+        "43525350434b5054", // magic "CRSPCKPT"
+        "0200000000000000", // version 2
+        "d792b6ec41c16392", // spec fingerprint, low half
+        "a311eaf19fafe905", // spec fingerprint, high half
+        "0010000000000000", // cycle 4096
+        "0200000000000000", // 2 sections
+        "0600000000000000", // name length 6
+        "656e67696e650000", // "engine" + 2 bytes padding
+        "0200000000000000", // 2 words
+        "b1dab50600000000", // payload CRC-32
+        "0100000000000000", // 1
+        "ffffffffffffffff", // u64::MAX
+        "0300000000000000", // name length 3
+        "6d656d0000000000", // "mem" + 5 bytes padding
+        "0000000000000000", // 0 words
+        "0000000000000000", // CRC-32 of the empty payload
+        "43525350444f4e45", // end marker "CRSPDONE"
+    );
+
     #[test]
-    fn crc32_matches_the_reference_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn encoded_bytes_match_the_golden_container() {
+        let snapshot = SimSnapshot {
+            cycle: 4096,
+            sections: vec![
+                ("engine".to_string(), vec![1, u64::MAX]),
+                ("mem".to_string(), vec![]),
+            ],
+        };
+        let hex: String = encode(fnv1a128(b"fig1/pointer_chase"), &snapshot)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_CHECKPOINT);
     }
 
     #[test]
@@ -425,7 +372,7 @@ mod tests {
         let read = read_checkpoint(&path, "fig7/mcf v1").unwrap();
         assert_eq!(read, snap);
         assert!(
-            !tmp_path(&path).exists(),
+            !crisp_store::tmp_path(&path).exists(),
             "tmp file must be renamed away on success"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -526,49 +473,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Encodes a checkpoint exactly as PR-4 binaries did: version 1 with
-    /// a single 64-bit fingerprint word.
-    fn encode_v1(spec: &str, snapshot: &SimSnapshot) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(spec).to_le_bytes());
-        out.extend_from_slice(&snapshot.cycle.to_le_bytes());
-        out.extend_from_slice(&(snapshot.sections.len() as u64).to_le_bytes());
-        for (name, words) in &snapshot.sections {
-            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            while out.len() % 8 != 0 {
-                out.push(0);
-            }
-            out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-            let mut payload = Vec::with_capacity(words.len() * 8);
-            for w in words {
-                payload.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&u64::from(crc32(&payload)).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        out.extend_from_slice(END_MARKER);
-        out
-    }
-
     #[test]
-    fn v1_checkpoints_remain_restorable() {
-        let dir = temp_dir("v1-compat");
+    fn v1_checkpoints_are_refused() {
+        let dir = temp_dir("v1-refused");
         let path = dir.join("old.ckpt");
-        let snap = sample_snapshot();
-        std::fs::write(&path, encode_v1("fig7/mcf v1", &snap)).unwrap();
-        assert_eq!(read_checkpoint(&path, "fig7/mcf v1").unwrap(), snap);
-        // The v1 fingerprint is still verified, just at 64-bit width.
-        let err = read_checkpoint(&path, "fig7/mcf v2").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::FingerprintMismatch { found, .. }
-                    if found == u128::from(fnv1a64("fig7/mcf v1"))
-            ),
-            "{err}"
+        let mut bytes = encode(fnv1a128(b"fig7/mcf"), &sample_snapshot());
+        bytes[8] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            read_checkpoint(&path, "fig7/mcf").unwrap_err(),
+            CheckpointError::VersionMismatch {
+                path,
+                found: 1,
+                expected: CHECKPOINT_VERSION
+            }
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -592,7 +510,7 @@ mod tests {
         let good = std::fs::read(dir.join(checkpoint_file_name(job, 900))).unwrap();
         std::fs::write(&torn, &good[..good.len() / 2]).unwrap();
         std::fs::write(
-            dir.join(format!("{}.tmp", checkpoint_file_name(job, 1700))),
+            crisp_store::tmp_path(&dir.join(checkpoint_file_name(job, 1700))),
             b"partial",
         )
         .unwrap();

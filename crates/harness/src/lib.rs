@@ -26,6 +26,7 @@
 //! - [`json`] — the dependency-free JSON subset the journal uses;
 //! - [`spanlog`] — the cross-process span log (`spans.jsonl`) every
 //!   layer of a job appends to, rendered by `crisp obs spans`;
+//! - [`telemetry`] — the telemetry JSONL codec (`crisp obs summarize`);
 //! - [`store`] — the content-addressed result store surface: keying
 //!   policy plus re-exports of the `crisp-store` crate (verified cache
 //!   hits skip simulation; corrupt entries quarantine and re-simulate).
@@ -56,6 +57,7 @@ pub mod retry;
 pub mod spanlog;
 pub mod store;
 pub mod supervisor;
+pub mod telemetry;
 
 pub use checkpoint::{
     checkpoint_file_name, newest_valid_checkpoint, read_checkpoint, write_checkpoint,
@@ -77,3 +79,4 @@ pub use supervisor::{
     failure_detail, run_sweep, EventSink, HarnessError, JobOutcome, JobRunner, JobSpec, LeaseGuard,
     RunContext, RunError, SupervisorOptions, SweepReport,
 };
+pub use telemetry::{encode_sample, parse_jsonl};

@@ -46,5 +46,5 @@ pub use kanata::{render_kanata, TraceFilter, KANATA_HEADER};
 pub use recorder::{EventKind, FillLevel, FlightRecorder, TraceEvent, Tracer};
 pub use spans::{render_spans, SpanRec};
 pub use stall::{StallClass, StallRow, StallTable, STALL_CLASSES};
-pub use summarize::{parse_jsonl, render_sparkline, summarize};
+pub use summarize::{render_sparkline, summarize};
 pub use telemetry::{TelemetryInputs, TelemetryLog, TelemetrySample, FIELD_NAMES, SAMPLE_FIELDS};

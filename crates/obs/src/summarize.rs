@@ -1,126 +1,10 @@
-//! `crisp obs summarize`: parse a telemetry JSONL stream back into samples
-//! and render per-interval tables plus an ASCII IPC-over-time sparkline.
-//!
-//! The JSONL reader here is deliberately minimal (flat objects of numbers
-//! and strings, exactly what the bench harness emits) and duplicated from
-//! `crisp-harness`'s hand-rolled writer on purpose: this crate sits below
-//! the harness in the dependency graph, so it cannot import the writer.
+//! `crisp obs summarize`: render telemetry samples as per-interval
+//! tables plus an ASCII IPC-over-time sparkline. The JSONL reader that
+//! turns a telemetry stream back into samples lives in `crisp-harness`
+//! (`crisp_harness::telemetry`), next to the JSON parser it uses.
 
-use crate::telemetry::{TelemetrySample, FIELD_NAMES, SAMPLE_FIELDS};
+use crate::telemetry::TelemetrySample;
 use std::fmt::Write as _;
-
-/// Skips one nested container value (`[...]` or `{...}`) and returns
-/// the remainder. Quoted strings inside are honored so brackets in
-/// string values don't unbalance the scan.
-fn skip_container(rest: &str) -> Result<&str, String> {
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(rest[i + 1..].trim_start());
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unterminated container in `{rest}`"))
-}
-
-/// Parses one flat JSON object line into `(key, number)` pairs. String
-/// values and nested containers are tolerated and skipped, so samples
-/// from newer schemas (extra tags, structured fields) keep parsing.
-fn parse_object_line(line: &str) -> Result<Vec<(String, f64)>, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: `{line}`"))?;
-    let mut out = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected key quote in `{line}`"))?;
-        let kend = rest
-            .find('"')
-            .ok_or_else(|| format!("unterminated key in `{line}`"))?;
-        let key = rest[..kend].to_string();
-        rest = rest[kend + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected `:` after key `{key}`"))?
-            .trim_start();
-        // Value: a string or nested container (skipped) or a number.
-        if let Some(t) = rest.strip_prefix('"') {
-            let vend = t
-                .find('"')
-                .ok_or_else(|| format!("unterminated string value for `{key}`"))?;
-            rest = t[vend + 1..].trim_start();
-        } else if rest.starts_with('[') || rest.starts_with('{') {
-            rest = skip_container(rest)?;
-        } else {
-            let vend = rest.find([',', '}']).unwrap_or(rest.len()).min(rest.len());
-            let raw = rest[..vend].trim();
-            let v: f64 = raw
-                .parse()
-                .map_err(|_| format!("bad numeric value `{raw}` for `{key}`"))?;
-            out.push((key, v));
-            rest = rest[vend..].trim_start();
-        }
-        match rest.strip_prefix(',') {
-            Some(t) => rest = t.trim_start(),
-            None if rest.is_empty() => break,
-            None => return Err(format!("expected `,` between fields in `{line}`")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parses a telemetry JSONL stream (one sample object per line, blank
-/// lines skipped) back into samples. The reader is forward- and
-/// backward-compatible by construction: unknown fields (including
-/// strings and nested containers) are skipped, and [`FIELD_NAMES`]
-/// fields absent from a line default to zero — so artifacts from both
-/// older and newer schemas keep parsing as the sample schema grows.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line (1-based).
-pub fn parse_jsonl(input: &str) -> Result<Vec<TelemetrySample>, String> {
-    let mut samples = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = parse_object_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let mut values = [0u64; SAMPLE_FIELDS];
-        for (j, name) in FIELD_NAMES.iter().enumerate() {
-            values[j] = fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map_or(0, |&(_, v)| v as u64);
-        }
-        samples.push(TelemetrySample::from_values(values));
-    }
-    Ok(samples)
-}
 
 /// Renders `values` as a one-line block-character sparkline (empty input
 /// renders empty).
@@ -187,74 +71,6 @@ mod tests {
     use super::*;
     use crate::telemetry::TelemetryInputs;
     use crate::telemetry::TelemetryLog;
-
-    fn jsonl_line(s: &TelemetrySample, extra: &str) -> String {
-        let mut fields: Vec<String> = s
-            .values()
-            .iter()
-            .zip(FIELD_NAMES)
-            .map(|(v, k)| format!("\"{k}\": {v}"))
-            .collect();
-        if !extra.is_empty() {
-            fields.insert(0, extra.to_string());
-        }
-        format!("{{{}}}", fields.join(", "))
-    }
-
-    #[test]
-    fn jsonl_round_trips_and_tolerates_extra_fields() {
-        let mut log = TelemetryLog::default();
-        log.record(TelemetryInputs {
-            cycle: 8192,
-            retired: 4000,
-            l1d_accesses: 900,
-            l1d_misses: 90,
-            rob: 100,
-            ..TelemetryInputs::default()
-        });
-        log.record(TelemetryInputs {
-            cycle: 16384,
-            retired: 9000,
-            l1d_accesses: 2000,
-            l1d_misses: 100,
-            rob: 50,
-            ..TelemetryInputs::default()
-        });
-        let text: String = log
-            .samples()
-            .iter()
-            .map(|s| jsonl_line(s, "\"cell\": \"fig1/pointer_chase\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, log.samples());
-    }
-
-    #[test]
-    fn malformed_lines_are_named() {
-        assert!(parse_jsonl("not json").unwrap_err().contains("line 1"));
-        let bad_num = "{\"cycle\": xyz}";
-        assert!(parse_jsonl(bad_num).unwrap_err().contains("bad numeric"));
-        let torn = "{\"cycle\": 5, \"tags\": [1, 2";
-        assert!(parse_jsonl(torn).unwrap_err().contains("line 1"));
-    }
-
-    #[test]
-    fn parser_is_forward_compatible_with_schema_growth() {
-        // A line from a hypothetical future schema: unknown scalar and
-        // nested fields, a known field buried between them, and one
-        // known field (`retired`) absent entirely.
-        let future = "{\"schema\": 9, \"phases\": {\"fetch\": 10, \"tags\": \"[a]\"}, \
-                      \"cycle\": 4096, \"hist\": [1, 2, 3], \"note\": \"ok\"}";
-        let parsed = parse_jsonl(future).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].cycle, 4096);
-        assert_eq!(parsed[0].retired, 0);
-        // A line from an older schema missing newer fields still parses.
-        let old = "{\"cycle\": 100, \"retired\": 42}";
-        let parsed = parse_jsonl(old).unwrap();
-        assert_eq!((parsed[0].cycle, parsed[0].retired), (100, 42));
-    }
 
     #[test]
     fn summary_renders_table_and_sparkline() {

@@ -3,7 +3,7 @@
 //! One store entry wraps one cell's result payload in a versioned,
 //! integrity-checked binary envelope, following the checkpoint
 //! container's discipline (magic, version, CRCs, end marker, typed torn
-//! errors, atomic tmp+fsync+rename writes):
+//! errors, atomic writes through [`crate::durable`]):
 //!
 //! ```text
 //! magic "CRSPCELL"           8 bytes
@@ -26,11 +26,10 @@
 //! CRC. A single bit flipped at *any* offset is detected on read and
 //! reported as a typed [`StoreError`] — never mis-decoded, never served.
 
-use crate::crc32;
-use crate::StoreError;
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use crate::durable::{write_atomic, ByteReader};
+use crate::{crc32, StoreError};
+use std::fs;
+use std::path::Path;
 
 /// Entry container format version, bumped on incompatible changes.
 pub const STORE_VERSION: u64 = 1;
@@ -57,8 +56,7 @@ pub fn encode_entry(entry: &CellEntry) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(entry.key as u64).to_le_bytes());
-    out.extend_from_slice(&((entry.key >> 64) as u64).to_le_bytes());
+    out.extend_from_slice(&entry.key.to_le_bytes());
     out.extend_from_slice(&entry.created_unix.to_le_bytes());
     out.extend_from_slice(&(entry.spec.len() as u64).to_le_bytes());
     out.extend_from_slice(entry.spec.as_bytes());
@@ -77,34 +75,6 @@ pub fn encode_entry(entry: &CellEntry) -> Vec<u8> {
     out
 }
 
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    path: &'a Path,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(StoreError::Torn {
-                path: self.path.to_path_buf(),
-                detail: format!(
-                    "file ends at byte {} while reading {what}",
-                    self.bytes.len()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        let s = self.take(8, what)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-}
-
 /// Decodes and fully verifies an entry's container bytes. When
 /// `expected_key` is given, the decoded key must match it (a mismatch
 /// means the file was renamed or the store's addressing drifted).
@@ -121,11 +91,10 @@ pub fn decode_entry(
     path: &Path,
     expected_key: Option<u128>,
 ) -> Result<CellEntry, StoreError> {
-    let mut r = ByteReader {
-        bytes,
-        pos: 0,
-        path,
-    };
+    let mut r = ByteReader::new(bytes, |detail| StoreError::Torn {
+        path: path.to_path_buf(),
+        detail,
+    });
     let magic = r.take(8, "magic")?;
     if magic != MAGIC {
         return Err(StoreError::BadMagic {
@@ -140,16 +109,14 @@ pub fn decode_entry(
             expected: STORE_VERSION,
         });
     }
-    let key_lo = r.u64("key (low half)")?;
-    let key_hi = r.u64("key (high half)")?;
-    let key = (u128::from(key_hi) << 64) | u128::from(key_lo);
+    let key = r.u128("key")?;
     let created_unix = r.u64("created stamp")?;
     let spec_len = r.u64("spec length")? as usize;
     let spec_bytes = r.take(spec_len, "spec")?;
     let pad = (8 - spec_len % 8) % 8;
     r.take(pad, "spec padding")?;
     let payload_len = r.u64("payload length")?;
-    let header_end = r.pos;
+    let header_end = r.pos();
     let stored_header_crc = r.u64("header crc")?;
     if u64::from(crc32(&bytes[8..header_end])) != stored_header_crc {
         return Err(StoreError::HeaderCrc {
@@ -159,10 +126,7 @@ pub fn decode_entry(
     // Only now that the header checksums clean do its fields mean
     // anything — spec UTF-8 or key mismatches past this point are real
     // addressing errors, not corruption.
-    let spec = String::from_utf8(spec_bytes.to_vec()).map_err(|_| StoreError::Torn {
-        path: path.to_path_buf(),
-        detail: "spec is not UTF-8".to_string(),
-    })?;
+    let spec = String::from_utf8(spec_bytes.to_vec()).map_err(|_| r.torn("spec is not UTF-8"))?;
     if let Some(expected) = expected_key {
         if key != expected {
             return Err(StoreError::KeyMismatch {
@@ -172,15 +136,7 @@ pub fn decode_entry(
             });
         }
     }
-    let payload_bytes = r.take(
-        (payload_len as usize)
-            .checked_mul(8)
-            .ok_or_else(|| StoreError::Torn {
-                path: path.to_path_buf(),
-                detail: "payload declares an absurd length".to_string(),
-            })?,
-        "payload",
-    )?;
+    let payload_bytes = r.words(payload_len, "payload")?;
     let stored_payload_crc = r.u64("payload crc")?;
     if u64::from(crc32(payload_bytes)) != stored_payload_crc {
         return Err(StoreError::PayloadCrc {
@@ -189,19 +145,13 @@ pub fn decode_entry(
     }
     let end = r.take(8, "end marker")?;
     if end != END_MARKER {
-        return Err(StoreError::Torn {
-            path: path.to_path_buf(),
-            detail: "end marker missing or corrupt".to_string(),
-        });
+        return Err(r.torn("end marker missing or corrupt"));
     }
-    if r.pos != bytes.len() {
-        return Err(StoreError::Torn {
-            path: path.to_path_buf(),
-            detail: format!(
-                "{} trailing bytes after the end marker",
-                bytes.len() - r.pos
-            ),
-        });
+    if r.pos() != bytes.len() {
+        return Err(r.torn(format!(
+            "{} trailing bytes after the end marker",
+            bytes.len() - r.pos()
+        )));
     }
     let payload = payload_bytes
         .chunks_exact(8)
@@ -225,46 +175,38 @@ pub fn read_entry(path: &Path, expected_key: Option<u128>) -> Result<CellEntry, 
     decode_entry(&bytes, path, expected_key)
 }
 
-/// Writes `entry` to `path` atomically: the container is assembled under
-/// a process-unique `.tmp` name, fsync'd, renamed over the final path,
-/// and the parent directory is synced. A SIGKILL at any point leaves
-/// either the previous entry or an orphaned `.tmp` — never a torn file
-/// under the real name.
+/// Writes `entry` to `path` atomically (see [`write_atomic`]).
 ///
 /// # Errors
 ///
 /// Only [`StoreError::Io`] — encoding cannot fail.
 pub fn write_entry(path: &Path, entry: &CellEntry) -> Result<(), StoreError> {
-    let bytes = encode_entry(entry);
-    let tmp = tmp_path(path);
-    let mut file = File::create(&tmp).map_err(|e| StoreError::io(&tmp, "create", &e))?;
-    file.write_all(&bytes)
-        .map_err(|e| StoreError::io(&tmp, "write", &e))?;
-    file.sync_data()
-        .map_err(|e| StoreError::io(&tmp, "fsync", &e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| StoreError::io(path, "rename", &e))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// The process-unique temp name `write_entry` assembles under: two
-/// concurrent writers of the same cell never clobber each other's
-/// half-written bytes, and the loser's rename just republishes identical
-/// content.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
+    write_atomic(path, &encode_entry(entry)).map_err(|e| StoreError::io(&e.path, e.step, &e.error))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::tmp_path;
+    use std::path::PathBuf;
+
+    /// The golden entry's container bytes, one 8-byte field per line.
+    /// Any change here is a format change: bump `STORE_VERSION`.
+    const GOLDEN_ENTRY: &str = concat!(
+        "4352535043454c4c", // magic "CRSPCELL"
+        "0100000000000000", // version 1
+        "ffeeddccbbaa9988", // key, low half
+        "7766554433221100", // key, high half
+        "00f1536500000000", // created 1_700_000_000
+        "0800000000000000", // spec length 8
+        "666967372f6d6366", // "fig7/mcf" (no padding needed)
+        "0200000000000000", // payload length 2
+        "e5a6672100000000", // header CRC-32
+        "000000000000f83f", // 1.5
+        "000000000000d0bf", // -0.25
+        "39e34ec400000000", // payload CRC-32
+        "4352535044454e44", // end marker "CRSPDEND"
+    );
 
     fn sample_entry() -> CellEntry {
         CellEntry {
@@ -280,6 +222,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn encoded_bytes_match_the_golden_container() {
+        let entry = CellEntry {
+            key: 0x0011_2233_4455_6677_8899_aabb_ccdd_eeff,
+            created_unix: 1_700_000_000,
+            spec: "fig7/mcf".to_string(),
+            payload: vec![1.5, -0.25],
+        };
+        let hex: String = encode_entry(&entry)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN_ENTRY);
     }
 
     #[test]

@@ -33,10 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod entry;
 pub mod hash;
 pub mod lock;
 
+pub use durable::{tmp_path, write_atomic, ByteReader, WriteError};
 pub use entry::{decode_entry, encode_entry, read_entry, write_entry, CellEntry, STORE_VERSION};
 pub use hash::{fnv1a128, key_hex, parse_key};
 pub use lock::{acquire, CellLock, LockOptions};
